@@ -19,6 +19,12 @@ as oracles for each other:
   immediate ones — and tests acyclicity with a **Kahn indegree peel**,
   extracting a concrete witness cycle from the unpeeled residue.
 
+:func:`classify_many` judges every candidate once for all requested
+models (:func:`classify` is its one-model call): the model-independent
+axioms are checked once per candidate, and a witness cycle is
+extracted only while the candidate's outcome is still unallowed under
+a model — the only case in which it can be kept.
+
 Each model's ppo/grf predicates are resolved from the registry
 (:mod:`repro.models`) — the same definitions ``axiomatic.py``
 evaluates, covering SC, 370, x86 and WMM (the paper's Figure 2
@@ -36,9 +42,11 @@ program's communication shape (forwarding / WRC / IRIW).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.litmus.axiomatic import M370, SC, X86, enumerate_axiomatic
 from repro.litmus.program import (Cas, Ld, Outcome, Program, Rmw, St)
@@ -52,6 +60,12 @@ MODELS = model_names(axiomatic_only=True)
 #: the per-address initial store (idx = ordinal of the address in
 #: ``program.addresses``).
 Event = Tuple[int, ...]
+#: ``(src, dst, kind)`` — an :class:`Edge` before it is wrapped.
+Triple = Tuple[Event, Event, str]
+#: A po edge and the cas write events it needs to exist.
+Guarded = Tuple[Triple, Tuple[Event, ...]]
+#: Where a cycle-extracting walk started, and the cycle it closed.
+Walk = Tuple[Event, List[Triple]]
 
 
 @dataclass(frozen=True)
@@ -104,6 +118,29 @@ def render_cycle(program: Program, witness: CycleWitness) -> List[str]:
             f"{event_name(program, e.dst)}" for e in witness.edges]
 
 
+class GhbPlan:
+    """One model's candidate-independent ghb ingredients over one
+    program: which rf kinds are global, and the preserved po pairs as
+    guarded ``(src, dst, kind)`` edges."""
+
+    __slots__ = ("grf", "all_rf", "po")
+
+    def __init__(self, analysis: "RelationAnalysis", model: str) -> None:
+        axiomatic = get_model(model).axiomatic
+        self.grf = frozenset(kind for kind in ("rfi", "rfe", "rf-init")
+                             if axiomatic.grf(kind))
+        self.all_rf = len(self.grf) == 3
+        self.po: List[Guarded] = []
+        for pair in analysis.po_pairs:
+            if not axiomatic.ppo(pair):
+                continue
+            if pair.fence and not axiomatic.ppo(pair.without_fence()):
+                kind = "fence"    # kept only because of the barrier
+            else:
+                kind = "po" if model == SC else "ppo"
+            self.po.append(analysis.guarded((pair.a, pair.b, kind), pair))
+
+
 class RelationAnalysis:
     """Relation scaffolding for one program: events, accesses, po.
 
@@ -111,11 +148,13 @@ class RelationAnalysis:
     :class:`Candidate` adds one concrete (rf, co) pick on top.
     """
 
-    __slots__ = ("program", "loads", "stores", "locked", "init_events",
-                 "addr_of", "value_of", "po_pairs")
+    __slots__ = ("program", "addresses", "loads", "stores", "locked",
+                 "init_events", "addr_of", "value_of", "po_pairs",
+                 "may_fail", "po_loc", "loads_at", "uniproc_memo")
 
     def __init__(self, program: Program) -> None:
         self.program = program
+        self.addresses = program.addresses
         #: (event, op) — loads plus the read half of every locked op.
         self.loads: List[Tuple[Event, object]] = []
         #: (event, op) — stores plus the write half of every locked op.
@@ -125,7 +164,7 @@ class RelationAnalysis:
         self.init_events: Dict[str, Event] = {}
         self.addr_of: Dict[Event, str] = {}
         self.value_of: Dict[Event, int] = {}
-        for ordinal, addr in enumerate(program.addresses):
+        for ordinal, addr in enumerate(self.addresses):
             init = (-1, ordinal)
             self.init_events[addr] = init
             self.addr_of[init] = addr
@@ -149,6 +188,27 @@ class RelationAnalysis:
                     self.addr_of[write] = op.addr
                     self.value_of[write] = op.value
         self.po_pairs: List[PoPair] = list(po_access_pairs(program))
+        #: Write events that do not happen when their cas fails.
+        self.may_fail = frozenset(write for _, write, op in self.locked
+                                  if isinstance(op, Cas))
+        self.po_loc: List[Guarded] = [
+            self.guarded((pair.a, pair.b, "po-loc"), pair)
+            for pair in self.po_pairs if pair.same_addr]
+        #: Per address, its read events (see Candidate.uniproc_cycle).
+        self.loads_at: List[Tuple[str, Tuple[Event, ...]]] = [
+            (addr, tuple(event for event, op in self.loads
+                         if op.addr == addr))
+            for addr in self.addresses]
+        #: (address, co order, rf sources of its reads) -> the
+        #: address's sc-per-location walk start and cycle, or None.
+        self.uniproc_memo: Dict[tuple, Optional[Walk]] = {}
+
+    def guarded(self, edge: Triple, pair: PoPair) -> Guarded:
+        """``edge`` with the cas writes among ``pair``'s events: a po
+        edge exists only when both its events happen."""
+        return edge, tuple(event for event, is_store in
+                           ((pair.a, pair.a_store), (pair.b, pair.b_store))
+                           if is_store and event in self.may_fail)
 
     def candidates(self) -> Iterator["Candidate"]:
         """Every candidate execution: an rf source per read crossed
@@ -164,13 +224,13 @@ class RelationAnalysis:
         def co_orders(addr_index: int, active: frozenset,
                       chosen: Dict[str, Tuple[Event, ...]]
                       ) -> Iterator[Dict[str, Tuple[Event, ...]]]:
-            if addr_index == len(self.program.addresses):
+            if addr_index == len(self.addresses):
                 yield dict(chosen)
                 return
-            addr = self.program.addresses[addr_index]
+            addr = self.addresses[addr_index]
             events = [event for event, store in self.stores
                       if store.addr == addr and event in active]
-            for order in _permutations(events):
+            for order in itertools.permutations(events):
                 chosen[addr] = order
                 yield from co_orders(addr_index + 1, active, chosen)
             chosen.pop(addr, None)
@@ -205,20 +265,15 @@ class RelationAnalysis:
         return frozenset(active)
 
 
-def _permutations(items: List[Event]) -> Iterator[Tuple[Event, ...]]:
-    if not items:
-        yield ()
-        return
-    for i in range(len(items)):
-        rest = items[:i] + items[i + 1:]
-        for tail in _permutations(rest):
-            yield (items[i],) + tail
-
-
 class Candidate:
-    """One candidate execution: an (rf, co) choice over the analysis."""
+    """One candidate execution: an (rf, co) choice over the analysis.
 
-    __slots__ = ("analysis", "rf", "co", "active")
+    Its rf/co/fr relations are computed at most once, as ``(src, dst,
+    kind)`` triples shared by the uniproc check and every model's ghb
+    check; they become :class:`Edge` objects only in a kept witness.
+    """
+
+    __slots__ = ("analysis", "rf", "co", "active", "_relations")
 
     def __init__(self, analysis: RelationAnalysis,
                  rf: Dict[Event, Event],
@@ -229,97 +284,119 @@ class Candidate:
         self.co = co
         self.active = analysis._active_writes(rf) \
             if active is None else active
+        self._relations: Optional[Tuple[List[Triple], ...]] = None
 
-    # -- relations -----------------------------------------------------
-    def rf_edges(self) -> List[Edge]:
-        edges = []
-        for load, source in self.rf.items():
-            if source[0] < 0:
-                kind = "rf-init"
-            elif source[0] == load[0]:
-                kind = "rfi"
-            else:
-                kind = "rfe"
-            edges.append(Edge(source, load, kind))
-        return edges
-
-    def co_edges(self) -> List[Edge]:
-        """Immediate-successor coherence edges (init first)."""
-        edges = []
-        for addr in self.analysis.program.addresses:
-            chain = (self.analysis.init_events[addr],) + self.co[addr]
-            for a, b in zip(chain, chain[1:]):
-                edges.append(Edge(a, b, "co"))
-        return edges
-
-    def fr_edges(self) -> List[Edge]:
-        """First-successor from-read edges: each load precedes the
+    def relations(self) -> Tuple[List[Triple], List[Triple],
+                                 List[Triple]]:
+        """``(rf, co, fr)`` edges: immediate-successor coherence (init
+        first) and first-successor from-reads — each load precedes the
         store immediately co-after its source (transitively, via co,
-        every later store — same closure as full fr)."""
-        successor: Dict[Event, Event] = {}
-        for addr in self.analysis.program.addresses:
-            chain = (self.analysis.init_events[addr],) + self.co[addr]
-            for a, b in zip(chain, chain[1:]):
-                successor[a] = b
-        edges = []
-        for load, source in self.rf.items():
-            nxt = successor.get(source)
-            if nxt is not None:
-                edges.append(Edge(load, nxt, "fr"))
-        return edges
+        every later store: the same closure as full fr)."""
+        if self._relations is None:
+            successor: Dict[Event, Event] = {}
+            co_edges: List[Triple] = []
+            for addr in self.analysis.addresses:
+                prev = self.analysis.init_events[addr]
+                for event in self.co[addr]:
+                    successor[prev] = event
+                    co_edges.append((prev, event, "co"))
+                    prev = event
+            rf_edges: List[Triple] = []
+            fr_edges: List[Triple] = []
+            for load, source in self.rf.items():
+                if source[0] < 0:
+                    kind = "rf-init"
+                elif source[0] == load[0]:
+                    kind = "rfi"
+                else:
+                    kind = "rfe"
+                rf_edges.append((source, load, kind))
+                nxt = successor.get(source)
+                if nxt is not None:
+                    fr_edges.append((load, nxt, "fr"))
+            self._relations = (rf_edges, co_edges, fr_edges)
+        return self._relations
 
-    def _pair_exists(self, pair: PoPair) -> bool:
-        """A pair is an edge source only when both events happen (the
-        write half of a failed cas does not)."""
-        return (not pair.a_store or pair.a in self.active) and \
-               (not pair.b_store or pair.b in self.active)
+    def _existing(self, po: List[Guarded]) -> List[Triple]:
+        """The po edges whose events all happen."""
+        active = self.active
+        return [edge for edge, guard in po
+                if not guard or all(event in active for event in guard)]
 
-    def uniproc_edges(self) -> List[Edge]:
-        edges = self.rf_edges() + self.co_edges() + self.fr_edges()
-        for pair in self.analysis.po_pairs:
-            if pair.same_addr and self._pair_exists(pair):
-                edges.append(Edge(pair.a, pair.b, "po-loc"))
-        return edges
+    def uniproc_edges(self) -> List[Triple]:
+        rf, co, fr = self.relations()
+        return rf + co + fr + self._existing(self.analysis.po_loc)
 
-    def atomicity_edges(self) -> List[Edge]:
-        """Violated-atomicity witness triangles: for a locked op whose
+    def ghb_edges(self, plan: GhbPlan) -> List[Triple]:
+        rf, co, fr = self.relations()
+        if not plan.all_rf:
+            rf = [edge for edge in rf if edge[2] in plan.grf]
+        return co + fr + rf + self._existing(plan.po)
+
+    def uniproc_cycle(self) -> Optional[List[Triple]]:
+        """The cycle :func:`_walk` finds in the uniproc graph, or None.
+
+        Every uniproc edge joins two events of one address, so the
+        graph splits into per-address components, each fixed by the
+        address's co order and the rf sources of its loads — a key that
+        recurs across the rf × co cross product, so each component is
+        judged once per analysis.  The whole-graph walk starts at the
+        smallest event left after peeling, so its cycle is the one of
+        the component holding that event.
+        """
+        analysis = self.analysis
+        memo = analysis.uniproc_memo
+        components: Optional[Dict[str, List[Triple]]] = None
+        best: Optional[Walk] = None
+        for addr, loads in analysis.loads_at:
+            key = (addr, self.co[addr],
+                   tuple([self.rf[load] for load in loads]))
+            if key not in memo:
+                if components is None:
+                    components = {a: [] for a in analysis.addresses}
+                    for edge in self.uniproc_edges():
+                        components[analysis.addr_of[edge[0]]].append(edge)
+                memo[key] = _walk(components[addr])
+            found = memo[key]
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
+        return None if best is None else best[1]
+
+    def atomicity_edges(self) -> List[Triple]:
+        """Violated-atomicity witness triangle: for a locked op whose
         write is not the immediate co-successor of its read's source,
         the cycle  R --fr--> X --co--> W --atom--> R  (empty list when
         every locked op is atomic)."""
-        successor: Dict[Event, Event] = {}
-        for addr in self.analysis.program.addresses:
-            chain = (self.analysis.init_events[addr],) + self.co[addr]
-            for a, b in zip(chain, chain[1:]):
-                successor[a] = b
-        edges: List[Edge] = []
-        for read, write, _op in self.analysis.locked:
+        analysis = self.analysis
+        for read, write, op in analysis.locked:
             if write not in self.active:
                 continue
-            intervening = successor.get(self.rf[read])
+            chain = (analysis.init_events[op.addr],) + self.co[op.addr]
+            after = chain.index(self.rf[read]) + 1
+            intervening = chain[after] if after < len(chain) else None
             if intervening != write:
-                edges.extend([Edge(read, intervening, "fr"),
-                              Edge(intervening, write, "co"),
-                              Edge(write, read, "atom")])
-                break
-        return edges
+                return [(read, intervening, "fr"),
+                        (intervening, write, "co"),
+                        (write, read, "atom")]
+        return []
 
-    def ghb_edges(self, model: str) -> List[Edge]:
-        axiomatic = get_model(model).axiomatic
-        edges = self.co_edges() + self.fr_edges()
-        for edge in self.rf_edges():
-            if axiomatic.grf(edge.kind):
-                edges.append(edge)
-        for pair in self.analysis.po_pairs:
-            if not self._pair_exists(pair):
-                continue
-            if not axiomatic.ppo(pair):
-                continue
-            if pair.fence and not axiomatic.ppo(pair.without_fence()):
-                kind = "fence"    # kept only because of the barrier
-            else:
-                kind = "po" if model == SC else "ppo"
-            edges.append(Edge(pair.a, pair.b, kind))
-        return edges
+    def consistent(self) -> bool:
+        """True when sc-per-location and RMW atomicity hold — the
+        model-independent axioms — without building a witness."""
+        return is_acyclic(self.uniproc_edges()) and \
+            not self.atomicity_edges()
+
+    def universal_witness(self) -> Optional[Tuple[str, List[Triple]]]:
+        """A model-independent violation as ``(axiom, cycle)``: an
+        sc-per-location cycle or a broken RMW atomicity triangle (None
+        when neither)."""
+        cycle = self.uniproc_cycle()
+        if cycle is not None:
+            return "sc-per-location", cycle
+        triangle = self.atomicity_edges()
+        if triangle:
+            return "atomicity", triangle
+        return None
 
     def outcome(self) -> Outcome:
         analysis = self.analysis
@@ -329,83 +406,88 @@ class Candidate:
             regs.append(((load_event[0], op.reg),
                          analysis.value_of[source]))
         mem = []
-        for addr in analysis.program.addresses:
+        for addr in analysis.addresses:
             order = self.co[addr]
             last = order[-1] if order else analysis.init_events[addr]
             mem.append((addr, analysis.value_of[last]))
         return Outcome(registers=tuple(sorted(regs)),
                        memory=tuple(sorted(mem)))
 
-    def universal_witness(self) -> Optional[CycleWitness]:
-        """A model-independent violation: an sc-per-location cycle or
-        a broken RMW atomicity triangle (None when neither)."""
-        cycle = find_cycle(self.uniproc_edges())
-        if cycle is not None:
-            return CycleWitness("sc-per-location", tuple(cycle))
-        triangle = self.atomicity_edges()
-        if triangle:
-            return CycleWitness("atomicity", tuple(triangle))
-        return None
 
-    def judge(self, model: str) -> Optional[CycleWitness]:
-        """None when the candidate satisfies the model's axioms, else
-        the witness cycle of the first violated axiom."""
-        witness = self.universal_witness()
-        if witness is not None:
-            return witness
-        cycle = find_cycle(self.ghb_edges(model))
-        if cycle is not None:
-            return CycleWitness("ghb", tuple(cycle))
+def _peel(edges: Sequence[Triple]) -> Dict[Event, int]:
+    """Kahn indegree peel over the (src, dst) of ``edges``: the
+    remaining indegree of every destination, all zero iff acyclic."""
+    succ: Dict[Event, List[Event]] = {}
+    indegree: Dict[Event, int] = {}
+    for src, dst, _kind in edges:
+        if src in succ:
+            succ[src].append(dst)
+        else:
+            succ[src] = [dst]
+        indegree[dst] = indegree.get(dst, 0) + 1
+    frontier = [node for node in succ if node not in indegree]
+    while frontier:
+        for dst in succ.get(frontier.pop(), ()):
+            left = indegree[dst] - 1
+            indegree[dst] = left
+            if not left:
+                frontier.append(dst)
+    return indegree
+
+
+def is_acyclic(edges: Sequence[Triple]) -> bool:
+    """The allowed/forbidden question alone: no witness is built."""
+    return not any(_peel(edges).values())
+
+
+def _walk(edges: Sequence[Triple]) -> Optional[Walk]:
+    """A concrete cycle of ``edges`` from the unpeeled residue, with the
+    event the walk to it started at; None when the graph is acyclic.
+
+    Deterministic: the walk starts at the smallest residue event and
+    visits successors in sorted (src, dst, kind) order, so the same
+    edge set always yields the same witness cycle.
+    """
+    residue = {node for node, left in _peel(edges).items() if left}
+    if not residue:
         return None
+    succ: Dict[Event, List[Triple]] = {}
+    pred: Dict[Event, List[Event]] = {}
+    for edge in sorted(edge for edge in edges
+                       if edge[0] in residue and edge[1] in residue):
+        succ.setdefault(edge[0], []).append(edge)
+        pred.setdefault(edge[1], []).append(edge[0])
+
+    # The residue holds every cycle plus nodes downstream of one; peel
+    # sinks (no successor inside the residue) the same way to leave
+    # only nodes on or between cycles, then walk until a repeat.
+    outdegree = {node: len(out) for node, out in succ.items()}
+    sinks = [node for node in residue if node not in outdegree]
+    while sinks:
+        node = sinks.pop()
+        residue.discard(node)
+        for src in pred.get(node, ()):
+            outdegree[src] -= 1
+            if not outdegree[src]:
+                sinks.append(src)
+    start = min(residue)
+    path: List[Triple] = []
+    seen_at: Dict[Event, int] = {start: 0}
+    node = start
+    while True:
+        edge = next(e for e in succ[node] if e[1] in residue)
+        path.append(edge)
+        node = edge[1]
+        if node in seen_at:
+            return start, path[seen_at[node]:]
+        seen_at[node] = len(path)
 
 
 def find_cycle(edges: Sequence[Edge]) -> Optional[List[Edge]]:
     """Kahn indegree peel; returns a concrete cycle from the residual
-    graph, or None when the edge set is acyclic.
-
-    Deterministic: successors are visited in sorted order, so the same
-    edge set always yields the same witness cycle.
-    """
-    succ: Dict[Event, List[Edge]] = {}
-    indegree: Dict[Event, int] = {}
-    for edge in sorted(edges, key=Edge.sort_key):
-        succ.setdefault(edge.src, []).append(edge)
-        indegree.setdefault(edge.src, 0)
-        indegree[edge.dst] = indegree.get(edge.dst, 0) + 1
-
-    frontier = sorted(n for n, d in indegree.items() if d == 0)
-    remaining = dict(indegree)
-    while frontier:
-        node = frontier.pop()
-        remaining.pop(node)
-        for edge in succ.get(node, ()):
-            remaining[edge.dst] -= 1
-            if remaining[edge.dst] == 0:
-                frontier.append(edge.dst)
-    if not remaining:
-        return None
-
-    # The residue holds every cycle plus nodes upstream/downstream of
-    # one; peel sinks (no successor inside the residue) the same way to
-    # leave only nodes that lie on cycles, then walk until a repeat.
-    residue = set(remaining)
-    while True:
-        sinks = [n for n in residue
-                 if not any(e.dst in residue for e in succ.get(n, ()))]
-        if not sinks:
-            break
-        residue.difference_update(sinks)
-    start = min(residue)
-    path: List[Edge] = []
-    seen_at: Dict[Event, int] = {start: 0}
-    node = start
-    while True:
-        edge = next(e for e in succ[node] if e.dst in residue)
-        path.append(edge)
-        node = edge.dst
-        if node in seen_at:
-            return path[seen_at[node]:]
-        seen_at[node] = len(path)
+    graph, or None when the edge set is acyclic (see :func:`_walk`)."""
+    found = _walk([edge.sort_key() for edge in edges])
+    return None if found is None else [Edge(*edge) for edge in found[1]]
 
 
 @dataclass
@@ -422,30 +504,85 @@ class Classification:
         return self.witnesses.get(outcome)
 
 
-def classify(program: Program, model: str) -> Classification:
+def classify_many(program: Program, models: Sequence[str]
+                  ) -> Dict[str, Classification]:
     """Partition the program's reachable outcomes into allowed and
-    forbidden under ``model``, with a witness cycle per forbidden
-    outcome (the shortest found across its candidates)."""
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of "
-                         f"{', '.join(MODELS)}")
+    forbidden under each of ``models``, with a witness cycle per
+    forbidden outcome (the shortest found across its candidates, the
+    first on a tie).
+
+    One pass: every candidate is enumerated once and its uniproc /
+    atomicity verdict is shared by all models; only the ghb check is
+    per model.  A candidate whose outcome a model already allows is not
+    judged for it again, and a witness cycle is extracted only when the
+    outcome is still unallowed — the only case it can be kept.
+    """
+    models = tuple(dict.fromkeys(models))
+    for model in models:
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}; expected one of "
+                             f"{', '.join(MODELS)}")
     analysis = RelationAnalysis(program)
-    allowed: set = set()
-    cycles: Dict[Outcome, CycleWitness] = {}
+    plans = [GhbPlan(analysis, model) for model in models]
+    #: outcome -> one slot per model: True once some candidate with
+    #: that outcome is allowed, else the (axiom, cycle) of the shortest
+    #: witness so far.
+    slots_of: Dict[Outcome, List] = {}
+
+    def keep(slots: List, index: int, axiom: str,
+             cycle: List[Triple]) -> None:
+        best = slots[index]
+        if best is None or len(cycle) < len(best[1]):
+            slots[index] = (axiom, cycle)
+
     for candidate in analysis.candidates():
         outcome = candidate.outcome()
-        witness = candidate.judge(model)
+        slots = slots_of.get(outcome)
+        if slots is None:
+            slots = slots_of[outcome] = [None] * len(models)
+        pending = [index for index, slot in enumerate(slots)
+                   if slot is not True]
+        if not pending:
+            continue
+        universal = candidate.universal_witness()
+        if universal is not None:
+            for index in pending:
+                keep(slots, index, *universal)
+            continue
+        for index in pending:
+            found = _walk(candidate.ghb_edges(plans[index]))
+            if found is None:
+                slots[index] = True
+            else:
+                keep(slots, index, "ghb", found[1])
+
+    # A universal cycle is shared by every model that keeps it: wrap
+    # each cycle once (the kept lists stay alive, so ids are stable).
+    wrapped: Dict[int, CycleWitness] = {}
+
+    def wrap(axiom: str, cycle: List[Triple]) -> CycleWitness:
+        witness = wrapped.get(id(cycle))
         if witness is None:
-            allowed.add(outcome)
-            cycles.pop(outcome, None)
-        elif outcome not in allowed:
-            best = cycles.get(outcome)
-            if best is None or len(witness.edges) < len(best.edges):
-                cycles[outcome] = witness
-    forbidden = frozenset(o for o in cycles if o not in allowed)
-    return Classification(program=program, model=model,
-                          allowed=frozenset(allowed), forbidden=forbidden,
-                          witnesses={o: cycles[o] for o in forbidden})
+            witness = wrapped[id(cycle)] = CycleWitness(
+                axiom, tuple(Edge(*edge) for edge in cycle))
+        return witness
+
+    verdicts: Dict[str, Classification] = {}
+    for index, model in enumerate(models):
+        witnesses = {outcome: wrap(*slots[index])
+                     for outcome, slots in slots_of.items()
+                     if slots[index] is not True}
+        verdicts[model] = Classification(
+            program=program, model=model,
+            allowed=frozenset(outcome for outcome, slots in slots_of.items()
+                              if slots[index] is True),
+            forbidden=frozenset(witnesses), witnesses=witnesses)
+    return verdicts
+
+
+def classify(program: Program, model: str) -> Classification:
+    """:func:`classify_many` for one model."""
+    return classify_many(program, (model,))[model]
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +681,8 @@ def find_races(program: Program) -> RaceReport:
     ``rfi`` edge — the forwarded store observed early — because rfi
     membership in ghb is the only difference between the two models.
     """
-    x86 = classify(program, X86)
-    m370 = classify(program, M370)
+    verdicts = classify_many(program, (X86, M370))
+    x86, m370 = verdicts[X86], verdicts[M370]
     shapes = program_shapes(program)
     report = RaceReport(program=program, program_shapes=shapes)
     for outcome in sorted(x86.allowed - m370.allowed, key=str):
@@ -584,8 +721,9 @@ def cross_check_program(program: Program,
     :func:`repro.litmus.axiomatic.enumerate_axiomatic` per model;
     returns human-readable mismatch descriptions (empty = agreement)."""
     mismatches: List[str] = []
+    verdicts = classify_many(program, models)
     for model in models:
-        mine = classify(program, model).allowed
+        mine = verdicts[model].allowed
         oracle = enumerate_axiomatic(program, model)
         if mine == oracle:
             continue

@@ -173,9 +173,10 @@ def explain_chain(program: Program, model: str,
     is the paper's Figure 2 store-atomicity distinction, derived rather
     than hand-written.
     """
-    from repro.lint.memory_model import classify
+    from repro.lint.memory_model import classify_many
 
-    verdict = classify(program, model)
+    verdicts = classify_many(program, (model, "x86"))
+    verdict = verdicts[model]
     matching = [o for o in sorted(verdict.forbidden,
                                   key=lambda o: (o.registers, o.memory))
                 if _matches(o, conditions)]
@@ -192,8 +193,7 @@ def explain_chain(program: Program, model: str,
                          f"  --{edge.kind}-->  "
                          f"{_event_name(program, edge.dst)}")
         if model != "x86" and witness.has_kind("rfi"):
-            x86_verdict = classify(program, "x86")
-            if outcome in x86_verdict.allowed:
+            if outcome in verdicts["x86"].allowed:
                 rfi = next(e for e in comm if e.kind == "rfi")
                 lines.append(
                     f"    note: x86-TSO drops the forwarding edge "

@@ -26,10 +26,13 @@ from dataclasses import dataclass
 from typing import (Callable, Iterator, List, Optional, Tuple,
                     TYPE_CHECKING)
 
-from repro.litmus.program import (Cas, Fence, Ld, Program, Rmw, St)
-
+# Importing anything under repro.litmus runs the repro.litmus package,
+# whose engines import this registry; so the instruction classes are
+# imported where they are used and ``import repro.models`` works as the
+# first import of a fresh interpreter.
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.litmus.operational import Machine
+    from repro.litmus.program import Program
 
 #: An event: ``(tid, idx)`` for a load/store or the read half of a
 #: locked instruction; ``(tid, idx, 1)`` for the write half of a locked
@@ -130,6 +133,7 @@ _Access = Tuple[Event, object, bool, bool, bool, bool]
 def thread_accesses(thread: Tuple, tid: int) -> List[_Access]:
     """The access events of one thread, in program order.  Locked
     instructions expand into their read then their write event."""
+    from repro.litmus.program import Cas, Ld, Rmw, St
     accesses: List[_Access] = []
     for idx, op in enumerate(thread):
         if isinstance(op, Ld):
@@ -146,6 +150,7 @@ def thread_accesses(thread: Tuple, tid: int) -> List[_Access]:
 
 def _fence_between(thread: Tuple, idx_a: int, idx_b: int) -> str:
     """Strongest barrier strictly between instruction slots a and b."""
+    from repro.litmus.program import Cas, Fence, Rmw
     strongest = ""
     for pos in range(idx_a + 1, idx_b):
         op = thread[pos]

@@ -12,10 +12,13 @@ enumeration over the whole litmus battery plus the synthesized corpus
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import (Iterable, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
-from repro.litmus.program import Program
 from repro.models.defs import REGISTRY
+
+if TYPE_CHECKING:  # pragma: no cover - see repro.models.base
+    from repro.litmus.program import Program
 
 
 def declared_edges() -> Tuple[Tuple[str, str], ...]:

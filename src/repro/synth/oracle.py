@@ -4,9 +4,12 @@ A synthesized distinguisher earns promotion only when three independent
 implementations of the memory-model lattice agree *exactly* on its
 outcome sets:
 
-1. the lint relation analyzer's exhaustive candidate judging
-   (:func:`repro.synth.profile.outcome_profile`, plus the slower
-   ``classify`` path it must match),
+1. the lint relation analyzer's exhaustive candidate judging, twice:
+   :func:`repro.synth.profile.outcome_profile` (allowed sets only) and
+   :func:`repro.lint.memory_model.classify_many` (every candidate
+   judged, witness cycles tracked) — two distinct loops, each one pass
+   over the program's candidates for all models, so neither result is
+   a view of the other,
 2. the axiomatic enumerator (:func:`repro.litmus.axiomatic
    .enumerate_axiomatic`) — an independent rf/co/fr/ghb implementation,
 3. the operational machines (:func:`repro.litmus.operational
@@ -24,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.lint.memory_model import classify
+# The traced litmus-verify run (perfbench/litmus_verify.py) times the
+# lint/classify leg through this module's ``classify`` attribute.
+from repro.lint.memory_model import classify_many as classify
 from repro.litmus.axiomatic import enumerate_axiomatic
 from repro.litmus.explain import explain_chain
 from repro.litmus.operational import enumerate_outcomes
@@ -79,14 +84,17 @@ def triple_check(program: Program,
     """Exact three-way agreement on ``program``'s outcome sets.
 
     The lint relation analyzer is consulted twice — the synthesis fast
-    path (one enumeration, all models) and the per-model ``classify``
-    path — so an optimization bug in either shows up as a mismatch too.
+    path (allowed sets only) and the witness-tracking ``classify_many``
+    path, one pass over the candidates each for all models — so an
+    optimization bug in either shows up as a mismatch too.
     """
     report = OracleReport(program=program, models=tuple(models))
     profile = outcome_profile(program, models=models)
+    classified = {model: verdict.allowed for model, verdict
+                  in classify(program, models).items()}
     for model in models:
         lint_fast = profile[model]
-        lint_slow = frozenset(classify(program, model).allowed)
+        lint_slow = classified[model]
         axiomatic = enumerate_axiomatic(program, model)
         operational = enumerate_outcomes(program, model)
         report.counts[model] = len(lint_fast)

@@ -9,18 +9,20 @@ result is the program's complete allowed-outcome set per model — the
 total function the paper's authors sampled hardware to approximate,
 computed statically.
 
-This replaces "classify() once per model" (which re-enumerates the
-candidate space per model) for the synthesis hot path; the two are
-cross-checked against each other, the independent enumerator in
-:mod:`repro.litmus.axiomatic`, and the operational machines by
-:mod:`repro.synth.oracle`.
+Unlike :func:`repro.lint.memory_model.classify_many` — also one pass
+for all models, but judging every candidate and tracking the shortest
+witness cycle per forbidden outcome — this loop builds no witness at
+all: it skips inconsistent candidates and answers each acyclicity
+question with a bare Kahn peel.  :mod:`repro.synth.oracle` cross-checks
+the two loops against each other, the independent enumerator in
+:mod:`repro.litmus.axiomatic`, and the operational machines.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.lint.memory_model import RelationAnalysis, find_cycle
+from repro.lint.memory_model import GhbPlan, RelationAnalysis, is_acyclic
 from repro.litmus.program import Outcome, Program
 from repro.synth.space import LATTICE
 
@@ -37,10 +39,11 @@ def outcome_profile(program: Program,
     the candidate space exactly once.
     """
     analysis = RelationAnalysis(program)
+    plans = {model: GhbPlan(analysis, model) for model in models}
     allowed: Dict[str, set] = {model: set() for model in models}
     for candidate in analysis.candidates():
         # uniproc and RMW atomicity are model-independent: once each.
-        if candidate.universal_witness() is not None:
+        if not candidate.consistent():
             continue
         outcome = candidate.outcome()
         remaining = [model for model in models
@@ -48,7 +51,7 @@ def outcome_profile(program: Program,
         if not remaining:
             continue
         for model in remaining:
-            if find_cycle(candidate.ghb_edges(model)) is None:
+            if is_acyclic(candidate.ghb_edges(plans[model])):
                 allowed[model].add(outcome)
     return {model: frozenset(found) for model, found in allowed.items()}
 

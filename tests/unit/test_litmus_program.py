@@ -1,5 +1,8 @@
 """Tests for the litmus program representation."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.litmus.program import Fence, Ld, Outcome, Program, St, make_program
@@ -18,6 +21,28 @@ def test_addresses_collected_in_order():
     program = make_program("t", [[St("b", 1), Ld("a", "r0")],
                                  [St("c", 2)]])
     assert program.addresses == ("b", "a", "c")
+
+
+def test_cached_addresses_leave_equality_hash_and_pickle_alone():
+    def build():
+        return make_program("t", [[St("b", 1), Ld("a", "r0")]],
+                            initial={"z": 3})
+    cached, fresh = build(), build()
+    assert cached.addresses == ("z", "b", "a")       # now cached
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert "addresses" not in {f.name for f in dataclasses.fields(Program)}
+    for program in (cached, fresh):
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone == program and hash(clone) == hash(program)
+        assert clone.addresses == ("z", "b", "a")
+
+
+def test_replace_recomputes_cached_addresses():
+    program = make_program("t", [[St("b", 1), Ld("a", "r0")]])
+    assert program.addresses == ("b", "a")
+    moved = dataclasses.replace(program, threads=((St("c", 1),),))
+    assert moved.addresses == ("c",)
+    assert program.addresses == ("b", "a")
 
 
 def test_loads_and_stores_iterators():
